@@ -459,7 +459,7 @@ func trafficCmd(args []string) error {
 		fmt.Printf("wrote %s\n", *out)
 	}
 	if *history != "" {
-		entry := harness.NewTrafficHistoryEntry(*rep, runtime.Version(), time.Now().Unix())
+		entry := harness.NewHistoryEntry(harness.HistoryEntry{Traffic: rep}, runtime.Version(), time.Now().Unix())
 		if err := harness.AppendHistory(*history, entry); err != nil {
 			return err
 		}
@@ -495,7 +495,7 @@ func bench(args []string) error {
 		return err
 	}
 	if *history != "" {
-		entry := harness.NewBenchHistoryEntry(rec, time.Now().Unix())
+		entry := harness.NewHistoryEntry(harness.HistoryEntry{Bench: &rec}, rec.GoVersion, time.Now().Unix())
 		if err := harness.AppendHistory(*history, entry); err != nil {
 			return err
 		}
@@ -585,10 +585,8 @@ func trend(args []string) error {
 	})
 	if *quiet {
 		for _, k := range res.Kinds {
-			for _, row := range k.Diff.Regressions() {
-				fmt.Printf("%s %s: %s -> %s (%.2f%%) REGRESSED\n",
-					k.Kind, row.Metric, harness.FormatMetric(row.Old),
-					harness.FormatMetric(row.New), row.DeltaPct)
+			if err := k.Diff.FormatRegressions(os.Stdout, k.Kind+" "); err != nil {
+				return err
 			}
 		}
 	} else if err := res.Format(os.Stdout); err != nil {
@@ -622,9 +620,8 @@ func diff(args []string) error {
 		return err
 	}
 	if *quiet {
-		for _, row := range res.Regressions() {
-			fmt.Printf("%s: %s -> %s (%.2f%%) REGRESSED\n",
-				row.Metric, harness.FormatMetric(row.Old), harness.FormatMetric(row.New), row.DeltaPct)
+		if err := res.FormatRegressions(os.Stdout, ""); err != nil {
+			return err
 		}
 	} else if err := res.Format(os.Stdout); err != nil {
 		return err

@@ -102,7 +102,7 @@ func main() {
 		}
 	}
 	if *history != "" {
-		entry := harness.NewLoadHistoryEntry(rec, time.Now().Unix())
+		entry := harness.NewHistoryEntry(harness.HistoryEntry{Load: &rec}, rec.GoVersion, time.Now().Unix())
 		if err := harness.AppendHistory(*history, entry); err != nil {
 			fmt.Fprintln(os.Stderr, "hetload:", err)
 			os.Exit(1)

@@ -256,11 +256,30 @@ func TestDaemonHTTP(t *testing.T) {
 		t.Errorf("malformed request error body = %q, %v", body, err)
 	}
 
-	// Structurally valid but unresolvable key: 422, no retry signal.
-	req, _ := json.Marshal(JobRequest{Key: engine.Key{Device: "cpu", Config: "AdvHet",
-		Workload: "barnes", Seed: 1, Variant: "sweep:x"}})
-	if resp, _ := post(string(req)); resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Errorf("variant key: HTTP %d, want 422", resp.StatusCode)
+	// Structurally valid but unresolvable keys: 422, no retry signal, and
+	// a body naming the reason the key cannot run remotely.
+	for _, tc := range []struct {
+		name string
+		key  engine.Key
+		want string
+	}{
+		{"variant key", engine.Key{Device: "cpu", Config: "AdvHet",
+			Workload: "barnes", Seed: 1, Variant: "sweep:x"}, "variant keys execute locally"},
+		{"unknown workload", engine.Key{Device: "cpu", Config: "AdvHet",
+			Workload: "nosuchworkload", Seed: 1}, `unknown cpu workload "nosuchworkload"`},
+	} {
+		req, _ := json.Marshal(JobRequest{Key: tc.key})
+		resp, body := post(string(req))
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("%s: HTTP %d, want 422", tc.name, resp.StatusCode)
+		}
+		var we wireError
+		if err := json.Unmarshal(body, &we); err != nil || !strings.Contains(we.Error, tc.want) {
+			t.Errorf("%s: 422 body = %q, want it to contain %q", tc.name, body, tc.want)
+		}
+		if tc.name != "variant key" && strings.Contains(we.Error, "variant") {
+			t.Errorf("%s: 422 body %q blames a variant the key does not have", tc.name, we.Error)
+		}
 	}
 
 	// Non-POST: 405.
@@ -274,7 +293,7 @@ func TestDaemonHTTP(t *testing.T) {
 	}
 
 	// A real job: 200 with a decodable result and the daemon's stamp.
-	req, _ = json.Marshal(JobRequest{Key: traceKey("barnes", 0)})
+	req, _ := json.Marshal(JobRequest{Key: traceKey("barnes", 0)})
 	resp, body = post(string(req))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("job: HTTP %d: %s", resp.StatusCode, body)

@@ -30,15 +30,23 @@ import (
 // budget (InstrInKey == false) only resolve with Instr pinned to 0. o
 // receives the executing side's telemetry.
 func Resolve(k engine.Key, o *obs.Observer) (func() (any, error), bool) {
+	fn, why := resolve(k, o)
+	return fn, why == ""
+}
+
+// resolve is Resolve that, for a key it cannot reconstruct, says why
+// instead: the daemon's 422 body carries the reason.
+func resolve(k engine.Key, o *obs.Observer) (func() (any, error), string) {
 	if r, ok := hetsim.RunnerFor(k.Device); ok {
-		if k.Variant != "" {
-			return nil, false
-		}
-		if !r.InstrInKey && k.Instr != 0 {
-			return nil, false
-		}
-		if !r.HasConfig(k.Config) || !r.HasWorkload(k.Workload) {
-			return nil, false
+		switch {
+		case k.Variant != "":
+			return nil, "variant keys execute locally"
+		case !r.InstrInKey && k.Instr != 0:
+			return nil, fmt.Sprintf("%s results have no instruction count; Instr must be 0", k.Device)
+		case !r.HasConfig(k.Config):
+			return nil, fmt.Sprintf("unknown %s config %q", k.Device, k.Config)
+		case !r.HasWorkload(k.Workload):
+			return nil, fmt.Sprintf("unknown %s workload %q", k.Device, k.Workload)
 		}
 		return func() (any, error) {
 			res, err := r.Run(k.Config, k.Workload, hetsim.RunOpts{
@@ -47,19 +55,19 @@ func Resolve(k engine.Key, o *obs.Observer) (func() (any, error), bool) {
 				return nil, err
 			}
 			return res, nil
-		}, true
+		}, ""
 	}
 	if k.Device == "trace" {
 		if k.Config != "stats" {
-			return nil, false
+			return nil, fmt.Sprintf("unknown trace config %q", k.Config)
 		}
 		var core int
 		if n, err := fmt.Sscanf(k.Variant, "core=%d", &core); n != 1 || err != nil {
-			return nil, false
+			return nil, fmt.Sprintf("trace variant %q is not core=<n>", k.Variant)
 		}
 		prof, err := trace.CPUWorkload(k.Workload)
 		if err != nil {
-			return nil, false
+			return nil, fmt.Sprintf("unknown trace workload %q", k.Workload)
 		}
 		return func() (any, error) {
 			g, err := trace.NewGenerator(prof, k.Seed, core)
@@ -67,9 +75,9 @@ func Resolve(k engine.Key, o *obs.Observer) (func() (any, error), bool) {
 				return nil, err
 			}
 			return trace.Summarize(g, k.Instr), nil
-		}, true
+		}, ""
 	}
-	return nil, false
+	return nil, fmt.Sprintf("unknown device %q", k.Device)
 }
 
 // Resolvable reports whether Resolve can reconstruct the job for k —

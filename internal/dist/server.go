@@ -219,11 +219,11 @@ func (d *Daemon) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if rr != nil {
 		rr.name = "jobs " + req.Key.String()
 	}
-	fn, ok := Resolve(req.Key, d.o)
-	if !ok {
+	fn, why := resolve(req.Key, d.o)
+	if why != "" {
 		d.count("dist.server_unresolvable")
 		writeJSON(w, http.StatusUnprocessableEntity,
-			wireError{Error: fmt.Sprintf("unresolvable key %s (variant keys execute locally)", req.Key)})
+			wireError{Error: fmt.Sprintf("unresolvable key %s (%s)", req.Key, why)})
 		return
 	}
 

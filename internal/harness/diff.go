@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strings"
 
 	"hetcore/internal/dist"
 	"hetcore/internal/obs"
@@ -14,12 +15,13 @@ import (
 )
 
 // This file is the cross-run regression gate: `hetcore diff` loads two
-// run-record manifests (the -metrics-out reports, schema hetcore.obs/v1),
-// two BENCH_sim_rate.json files, or two BENCH_load.json load-test
-// records, computes per-metric deltas against configurable thresholds,
-// renders a readable table and reports whether anything regressed.
-// scripts/ci.sh runs it against the committed baselines so sim-rate,
-// paper-metric or serving-latency drift fails CI.
+// payloads of one kind — -metrics-out reports (schema hetcore.obs/v1),
+// BENCH_sim_rate.json bench records, BENCH_load.json load records or
+// traffic reports — maps each to its metric rows, computes per-metric
+// deltas against configurable thresholds, renders a readable table and
+// reports whether anything regressed. scripts/ci.sh runs it against the
+// committed baselines so sim-rate, paper-metric or serving-latency drift
+// fails CI.
 
 // DiffOptions sets the regression thresholds. Deterministic simulation
 // metrics (IPC, time, energy, instruction counts — fixed for a given
@@ -69,7 +71,7 @@ type DiffRow struct {
 
 // DiffResult is the full comparison.
 type DiffResult struct {
-	Kind string    `json:"kind"` // "report" or "bench"
+	Kind string    `json:"kind"` // "report", "bench", "load" or "traffic"
 	Rows []DiffRow `json:"rows"`
 }
 
@@ -120,6 +122,18 @@ func (r DiffResult) Format(w io.Writer) error {
 	}
 	_, err := fmt.Fprintf(w, "-- %d metric(s) compared: %s\n", len(r.Rows), verdict)
 	return err
+}
+
+// FormatRegressions prints one line per regressed metric, each prefixed
+// with prefix: the quiet (-q) form of Format.
+func (r DiffResult) FormatRegressions(w io.Writer, prefix string) error {
+	for _, row := range r.Regressions() {
+		if _, err := fmt.Fprintf(w, "%s%s: %s -> %s (%.2f%%) REGRESSED\n", prefix, row.Metric,
+			FormatMetric(row.Old), FormatMetric(row.New), row.DeltaPct); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // FormatMetric formats a metric value compactly for the diff table.
@@ -175,199 +189,275 @@ func classify(old, new float64, dir diffDirection, tol float64) (deltaPct float6
 	return deltaPct, "ok"
 }
 
-// diffFile is the sniffed union of the supported payloads.
-type diffFile struct {
-	report  *obs.Report
-	bench   *BenchRecord
-	load    *dist.LoadRecord
-	traffic *traffic.Report
+// metricRow is one named number a payload exposes. Every kind reduces to
+// rows, so one diff and one trend median serve all kinds. Rows match
+// across records by group (a run or scenario; "" for record-wide
+// metrics) and name; label is the printed prefix of a grouped metric.
+type metricRow struct {
+	group, label, name string
+	value              float64
+	better             diffDirection
+	host               bool // host timing: compared at RateTol, otherwise RelTol
+	count              bool // integer-valued: a trend median truncates it
 }
 
-// kind names the sniffed payload kind, with its schema where it has one,
-// so a mismatched-kind diff can say what each side actually is.
-func (f diffFile) kind() string {
-	switch {
-	case f.report != nil:
-		return fmt.Sprintf("metrics report (%s)", obs.SchemaVersion)
-	case f.bench != nil:
-		return "bench record"
-	case f.load != nil:
-		return fmt.Sprintf("load record (%s)", dist.LoadSchemaVersion)
-	case f.traffic != nil:
-		return fmt.Sprintf("traffic report (%s)", traffic.SchemaVersion)
-	default:
-		return "unknown payload"
+type rowKey struct{ group, name string }
+
+// diffRows compares two records' rows in the old record's order. A group
+// only in old regresses as <label>.missing; a group only in new is noted
+// as <label>.new. A record-wide metric missing on either side is skipped,
+// so new bench records still diff against baselines that predate the
+// suite fields.
+func diffRows(kind string, old, new []metricRow, opts DiffOptions) DiffResult {
+	opts = opts.withDefaults()
+	oldGroups, newGroups := map[string]bool{"": true}, map[string]bool{"": true}
+	newRows := make(map[rowKey]metricRow, len(new))
+	for _, r := range old {
+		oldGroups[r.group] = true
 	}
+	for _, r := range new {
+		newGroups[r.group] = true
+		newRows[rowKey{r.group, r.name}] = r
+	}
+	res := DiffResult{Kind: kind}
+	for i, o := range old {
+		n, ok := newRows[rowKey{o.group, o.name}]
+		switch {
+		case !newGroups[o.group]:
+			if i == 0 || old[i-1].group != o.group {
+				res.Rows = append(res.Rows, DiffRow{Metric: o.label + ".missing",
+					Old: 1, New: 0, DeltaPct: -100, Status: "REGRESSED"})
+			}
+		case ok:
+			tol, metric := opts.RelTol, o.name
+			if o.host {
+				tol = opts.RateTol
+			}
+			if o.group != "" {
+				metric = o.label + "." + o.name
+			}
+			d, st := classify(o.value, n.value, o.better, tol)
+			res.Rows = append(res.Rows, DiffRow{Metric: metric, Old: o.value, New: n.value, DeltaPct: d, Status: st})
+		}
+	}
+	for i, n := range new {
+		if !oldGroups[n.group] && (i == 0 || new[i-1].group != n.group) {
+			res.Rows = append(res.Rows, DiffRow{Metric: n.label + ".new", Old: 0, New: 1, Status: "ok"})
+		}
+	}
+	return res
 }
 
-// loadDiffFile reads path and decides whether it is a -metrics-out
-// report, a BENCH_sim_rate.json record, a BENCH_load.json record or a
-// traffic report.
-func loadDiffFile(path string) (diffFile, error) {
+// recordKind is one payload kind. recordKinds is the only code that
+// tells kinds apart — sniffing, decoding, history entries and trend all
+// read it — so adding a kind is one entry there plus one rows function.
+type recordKind struct {
+	name   string // DiffResult.Kind and HistoryEntry.Kind
+	noun   string
+	schema string // the schema stamp its payloads carry ("" = unchecked)
+	key    string // top-level JSON key that identifies it ("" = its schema stamp does)
+	decode func(raw []byte) ([]metricRow, error)
+	// history reads the kind's HistoryEntry field (false when unset);
+	// nil for kinds the history never holds.
+	history func(e *HistoryEntry) ([]metricRow, bool)
+}
+
+var recordKinds = []recordKind{
+	newKind("report", "metrics report", obs.SchemaVersion, "manifest", reportRows,
+		func(r *obs.Report) error { return checkSchema(r.Manifest.Schema, obs.SchemaVersion) }, nil),
+	newKind("bench", "bench record", "", "cpu_insts_per_sec", benchRows,
+		nil, func(e *HistoryEntry) *BenchRecord { return e.Bench }),
+	newKind("load", "load record", dist.LoadSchemaVersion, "requests_per_sec", loadRows,
+		func(l *dist.LoadRecord) error { return checkSchema(l.Schema, dist.LoadSchemaVersion) },
+		func(e *HistoryEntry) *dist.LoadRecord { return e.Load }),
+	newKind("traffic", "traffic report", traffic.SchemaVersion, "", trafficRows,
+		(*traffic.Report).Validate, func(e *HistoryEntry) *traffic.Report { return e.Traffic }),
+}
+
+// newKind builds the table entry for payloads of type T: check validates
+// a decoded payload (nil = none), field is T's HistoryEntry field (nil =
+// not a history kind).
+func newKind[T any](name, noun, schema, key string, rows func(*T) []metricRow,
+	check func(*T) error, field func(*HistoryEntry) *T) recordKind {
+	k := recordKind{name: name, noun: noun, schema: schema, key: key}
+	k.decode = func(raw []byte) ([]metricRow, error) {
+		p := new(T)
+		if err := json.Unmarshal(raw, p); err != nil {
+			return nil, fmt.Errorf("decoding %s: %w", noun, err)
+		}
+		if check != nil {
+			if err := check(p); err != nil {
+				return nil, err
+			}
+		}
+		return rows(p), nil
+	}
+	if field != nil {
+		k.history = func(e *HistoryEntry) ([]metricRow, bool) {
+			p := field(e)
+			if p == nil {
+				return nil, false
+			}
+			return rows(p), true
+		}
+	}
+	return k
+}
+
+func checkSchema(got, want string) error {
+	if got != want {
+		return fmt.Errorf("schema %q, want %q", got, want)
+	}
+	return nil
+}
+
+// desc names the kind with its schema, so a mismatched-kind diff can say
+// what each side actually is.
+func (k *recordKind) desc() string {
+	if k.schema == "" {
+		return k.noun
+	}
+	return fmt.Sprintf("%s (%s)", k.noun, k.schema)
+}
+
+// loadDiffFile reads path and decodes it as the kind its JSON shows. A
+// schema stamp that names a kind outranks the identifying keys.
+func loadDiffFile(path string) (*recordKind, []metricRow, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return diffFile{}, err
+		return nil, nil, err
 	}
 	var probe map[string]json.RawMessage
 	if err := json.Unmarshal(raw, &probe); err != nil {
-		return diffFile{}, fmt.Errorf("%s: not a JSON object: %w", path, err)
+		return nil, nil, fmt.Errorf("%s: not a JSON object: %w", path, err)
 	}
 	var schema string
-	if probe["schema"] != nil {
-		_ = json.Unmarshal(probe["schema"], &schema)
+	_ = json.Unmarshal(probe["schema"], &schema)
+	var kind *recordKind
+	var known []string
+	for i, k := range recordKinds {
+		marker := k.key
+		switch {
+		case k.key == "":
+			marker = "schema " + k.schema
+			if schema == k.schema {
+				kind = &recordKinds[i]
+			}
+		case kind == nil && probe[k.key] != nil:
+			kind = &recordKinds[i]
+		}
+		known = append(known, fmt.Sprintf("%s (%s)", k.noun, marker))
 	}
-	switch {
-	case schema == traffic.SchemaVersion:
-		var r traffic.Report
-		if err := json.Unmarshal(raw, &r); err != nil {
-			return diffFile{}, fmt.Errorf("%s: decoding traffic report: %w", path, err)
-		}
-		if err := r.Validate(); err != nil {
-			return diffFile{}, fmt.Errorf("%s: %w", path, err)
-		}
-		return diffFile{traffic: &r}, nil
-	case probe["manifest"] != nil:
-		var r obs.Report
-		if err := json.Unmarshal(raw, &r); err != nil {
-			return diffFile{}, fmt.Errorf("%s: decoding report: %w", path, err)
-		}
-		if r.Manifest.Schema != obs.SchemaVersion {
-			return diffFile{}, fmt.Errorf("%s: schema %q, want %q",
-				path, r.Manifest.Schema, obs.SchemaVersion)
-		}
-		return diffFile{report: &r}, nil
-	case probe["cpu_insts_per_sec"] != nil:
-		var b BenchRecord
-		if err := json.Unmarshal(raw, &b); err != nil {
-			return diffFile{}, fmt.Errorf("%s: decoding bench record: %w", path, err)
-		}
-		return diffFile{bench: &b}, nil
-	case probe["requests_per_sec"] != nil:
-		var l dist.LoadRecord
-		if err := json.Unmarshal(raw, &l); err != nil {
-			return diffFile{}, fmt.Errorf("%s: decoding load record: %w", path, err)
-		}
-		if l.Schema != dist.LoadSchemaVersion {
-			return diffFile{}, fmt.Errorf("%s: schema %q, want %q",
-				path, l.Schema, dist.LoadSchemaVersion)
-		}
-		return diffFile{load: &l}, nil
-	default:
-		return diffFile{}, fmt.Errorf("%s: not a metrics report (manifest), bench record (cpu_insts_per_sec), load record (requests_per_sec) or traffic report (schema %s)", path, traffic.SchemaVersion)
+	if kind == nil {
+		return nil, nil, fmt.Errorf("%s: not a %s or %s", path,
+			strings.Join(known[:len(known)-1], ", "), known[len(known)-1])
 	}
+	rows, err := kind.decode(raw)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return kind, rows, nil
 }
 
 // DiffFiles loads and compares two payload files of the same kind.
 func DiffFiles(oldPath, newPath string, opts DiffOptions) (DiffResult, error) {
-	a, err := loadDiffFile(oldPath)
+	ka, a, err := loadDiffFile(oldPath)
 	if err != nil {
 		return DiffResult{}, err
 	}
-	b, err := loadDiffFile(newPath)
+	kb, b, err := loadDiffFile(newPath)
 	if err != nil {
 		return DiffResult{}, err
 	}
-	switch {
-	case a.report != nil && b.report != nil:
-		return DiffReports(*a.report, *b.report, opts), nil
-	case a.bench != nil && b.bench != nil:
-		return DiffBench(*a.bench, *b.bench, opts), nil
-	case a.load != nil && b.load != nil:
-		return DiffLoad(*a.load, *b.load, opts), nil
-	case a.traffic != nil && b.traffic != nil:
-		return DiffTraffic(*a.traffic, *b.traffic, opts), nil
-	default:
+	if ka != kb {
 		return DiffResult{}, fmt.Errorf("cannot diff payloads of different kinds: %s is a %s, %s is a %s",
-			oldPath, a.kind(), newPath, b.kind())
+			oldPath, ka.desc(), newPath, kb.desc())
 	}
+	return diffRows(ka.name, a, b, opts), nil
 }
 
-// DiffTraffic compares two traffic reports scenario by scenario. The
-// simulation is deterministic, so everything uses the strict RelTol:
-// energy per request, latency quantiles and SLO accounting may only
-// fall; the offered request count must match exactly. Scenarios that
-// disappeared regress; new ones are noted as ok.
-func DiffTraffic(old, new traffic.Report, opts DiffOptions) DiffResult {
-	opts = opts.withDefaults()
-	res := DiffResult{Kind: "traffic"}
-	add := func(metric string, o, n float64, dir diffDirection, tol float64) {
-		d, st := classify(o, n, dir, tol)
-		res.Rows = append(res.Rows, DiffRow{Metric: metric, Old: o, New: n, DeltaPct: d, Status: st})
+// reportRows maps a -metrics-out report: the aggregate sim rate (host
+// timing) and run count, then for every run, in sorted run-key order,
+// the deterministic paper metrics.
+func reportRows(r *obs.Report) []metricRow {
+	rows := []metricRow{
+		{name: "manifest.sim_rate_kips", value: r.Manifest.SimRateKIPS, better: higherBetter, host: true},
+		{name: "manifest.runs", value: float64(r.Manifest.Runs), better: higherBetter, count: true},
 	}
-	newByName := make(map[string]traffic.Result, len(new.Scenarios))
-	for _, s := range new.Scenarios {
-		newByName[s.Scenario] = s
-	}
-	for _, o := range old.Scenarios {
-		k := o.Scenario + "/" + o.Trace
-		n, ok := newByName[o.Scenario]
-		if !ok {
-			res.Rows = append(res.Rows, DiffRow{Metric: k + ".missing",
-				Old: 1, New: 0, DeltaPct: -100, Status: "REGRESSED"})
-			continue
+	runs := make(map[string]obs.RunRecord, len(r.Runs))
+	keys := make([]string, 0, len(r.Runs))
+	for _, run := range r.Runs {
+		if _, dup := runs[runKey(run)]; !dup {
+			keys = append(keys, runKey(run))
 		}
-		add(k+".requests", float64(o.Requests), float64(n.Requests), exactMatch, opts.RelTol)
-		add(k+".energy_per_req_j", o.EnergyPerReqJ, n.EnergyPerReqJ, lowerBetter, opts.RelTol)
-		add(k+".p50_sec", o.P50Sec, n.P50Sec, lowerBetter, opts.RelTol)
-		add(k+".p99_sec", o.P99Sec, n.P99Sec, lowerBetter, opts.RelTol)
-		add(k+".slo_violations", float64(o.SLOViolations), float64(n.SLOViolations), lowerBetter, opts.RelTol)
-		add(k+".deadline_misses", float64(o.DeadlineMisses), float64(n.DeadlineMisses), lowerBetter, opts.RelTol)
+		runs[runKey(run)] = run
 	}
-	oldByName := make(map[string]bool, len(old.Scenarios))
-	for _, s := range old.Scenarios {
-		oldByName[s.Scenario] = true
+	sort.Strings(keys)
+	for _, k := range keys {
+		run := runs[k]
+		rows = append(rows,
+			metricRow{group: k, label: k, name: "ipc", value: run.IPC, better: higherBetter},
+			metricRow{group: k, label: k, name: "time_sec", value: run.TimeSec, better: lowerBetter},
+			metricRow{group: k, label: k, name: "energy_j", value: energyTotal(run), better: lowerBetter},
+			metricRow{group: k, label: k, name: "instructions", value: float64(run.Instructions),
+				better: exactMatch, count: true})
 	}
-	for _, s := range new.Scenarios {
-		if !oldByName[s.Scenario] {
-			res.Rows = append(res.Rows, DiffRow{Metric: s.Scenario + "/" + s.Trace + ".new",
-				Old: 0, New: 1, Status: "ok"})
+	return rows
+}
+
+// benchRows maps a simulation-rate record: host-timing rates where only
+// slowdowns regress, and deterministic instruction counts. Records that
+// predate the full-suite figures (run-plan engine) have no suite rows.
+func benchRows(b *BenchRecord) []metricRow {
+	rows := []metricRow{
+		{name: "cpu_insts_per_sec", value: b.CPUInstsPerSec, better: higherBetter, host: true},
+		{name: "gpu_wave_insts_per_sec", value: b.GPUWaveInstsPerSec, better: higherBetter, host: true},
+		{name: "cpu_instructions", value: float64(b.CPUInstructions), better: exactMatch, count: true},
+		{name: "gpu_wave_insts", value: float64(b.GPUWaveInsts), better: exactMatch, count: true},
+	}
+	if b.SuiteRuns > 0 {
+		rows = append(rows,
+			metricRow{name: "suite_runs", value: float64(b.SuiteRuns), better: exactMatch, count: true},
+			metricRow{name: "suite_runs_per_sec", value: b.SuiteRunsPerSec, better: higherBetter, host: true})
+	}
+	return rows
+}
+
+// loadRows maps a load-test record: throughput may only fall and latency
+// quantiles only rise by more than RateTol. The error rate is a
+// correctness signal and uses the strict RelTol, so a zero-error
+// baseline regresses on the first error.
+func loadRows(l *dist.LoadRecord) []metricRow {
+	return []metricRow{
+		{name: "requests_per_sec", value: l.RequestsPerSec, better: higherBetter, host: true},
+		{name: "latency_p50_ms", value: l.LatencyP50MS, better: lowerBetter, host: true},
+		{name: "latency_p95_ms", value: l.LatencyP95MS, better: lowerBetter, host: true},
+		{name: "latency_p99_ms", value: l.LatencyP99MS, better: lowerBetter, host: true},
+		{name: "error_rate", value: l.ErrorRate, better: lowerBetter},
+	}
+}
+
+// trafficRows maps a traffic report scenario by scenario, in report
+// order, each labelled with the trace it ran. The simulation is
+// deterministic, so everything uses RelTol: energy per request, latency
+// quantiles and SLO accounting may only fall, and the offered request
+// count must match exactly.
+func trafficRows(r *traffic.Report) []metricRow {
+	var rows []metricRow
+	for _, s := range r.Scenarios {
+		row := func(name string, v float64, better diffDirection, count bool) metricRow {
+			return metricRow{group: s.Scenario, label: s.Scenario + "/" + s.Trace,
+				name: name, value: v, better: better, count: count}
 		}
+		rows = append(rows,
+			row("requests", float64(s.Requests), exactMatch, true),
+			row("energy_per_req_j", s.EnergyPerReqJ, lowerBetter, false),
+			row("p50_sec", s.P50Sec, lowerBetter, false),
+			row("p99_sec", s.P99Sec, lowerBetter, false),
+			row("slo_violations", float64(s.SLOViolations), lowerBetter, true),
+			row("deadline_misses", float64(s.DeadlineMisses), lowerBetter, true))
 	}
-	return res
-}
-
-// DiffBench compares two simulation-rate benchmark records. Rates are
-// host timing, so both use RateTol and only slowdowns regress.
-func DiffBench(old, new BenchRecord, opts DiffOptions) DiffResult {
-	opts = opts.withDefaults()
-	res := DiffResult{Kind: "bench"}
-	add := func(metric string, o, n float64, dir diffDirection, tol float64) {
-		d, st := classify(o, n, dir, tol)
-		res.Rows = append(res.Rows, DiffRow{Metric: metric, Old: o, New: n, DeltaPct: d, Status: st})
-	}
-	add("cpu_insts_per_sec", old.CPUInstsPerSec, new.CPUInstsPerSec, higherBetter, opts.RateTol)
-	add("gpu_wave_insts_per_sec", old.GPUWaveInstsPerSec, new.GPUWaveInstsPerSec, higherBetter, opts.RateTol)
-	add("cpu_instructions", float64(old.CPUInstructions), float64(new.CPUInstructions), exactMatch, opts.RelTol)
-	add("gpu_wave_insts", float64(old.GPUWaveInsts), float64(new.GPUWaveInsts), exactMatch, opts.RelTol)
-	// Full-suite figures (run-plan engine). Skipped when the old record
-	// predates them, so new-format records still diff against old
-	// baselines.
-	if old.SuiteRuns > 0 && new.SuiteRuns > 0 {
-		add("suite_runs", float64(old.SuiteRuns), float64(new.SuiteRuns), exactMatch, opts.RelTol)
-		add("suite_runs_per_sec", old.SuiteRunsPerSec, new.SuiteRunsPerSec, higherBetter, opts.RateTol)
-	}
-	return res
-}
-
-// DiffLoad compares two load-test records direction-aware: throughput
-// may only fall, latency quantiles and the error rate may only rise, by
-// more than RateTol, before the gate trips. Everything here is host
-// timing, so RateTol applies throughout — except the error rate, which
-// is a correctness signal and uses the strict RelTol (a baseline of
-// zero errors regresses on the first error).
-func DiffLoad(old, new dist.LoadRecord, opts DiffOptions) DiffResult {
-	opts = opts.withDefaults()
-	res := DiffResult{Kind: "load"}
-	add := func(metric string, o, n float64, dir diffDirection, tol float64) {
-		d, st := classify(o, n, dir, tol)
-		res.Rows = append(res.Rows, DiffRow{Metric: metric, Old: o, New: n, DeltaPct: d, Status: st})
-	}
-	add("requests_per_sec", old.RequestsPerSec, new.RequestsPerSec, higherBetter, opts.RateTol)
-	add("latency_p50_ms", old.LatencyP50MS, new.LatencyP50MS, lowerBetter, opts.RateTol)
-	add("latency_p95_ms", old.LatencyP95MS, new.LatencyP95MS, lowerBetter, opts.RateTol)
-	add("latency_p99_ms", old.LatencyP99MS, new.LatencyP99MS, lowerBetter, opts.RateTol)
-	add("error_rate", old.ErrorRate, new.ErrorRate, lowerBetter, opts.RelTol)
-	return res
+	return rows
 }
 
 // runKey identifies a run record across two reports.
@@ -377,65 +467,6 @@ func runKey(r obs.RunRecord) string {
 		k = r.Experiment + "/" + k
 	}
 	return k
-}
-
-// DiffReports compares two -metrics-out reports: the aggregate sim rate
-// (host timing) and, for every run present in both, the deterministic
-// paper metrics — IPC, simulated time, total energy, instruction count.
-// Runs that disappeared from the new report regress; new runs are noted
-// as ok.
-func DiffReports(old, new obs.Report, opts DiffOptions) DiffResult {
-	opts = opts.withDefaults()
-	res := DiffResult{Kind: "report"}
-	add := func(metric string, o, n float64, dir diffDirection, tol float64) {
-		d, st := classify(o, n, dir, tol)
-		res.Rows = append(res.Rows, DiffRow{Metric: metric, Old: o, New: n, DeltaPct: d, Status: st})
-	}
-	add("manifest.sim_rate_kips", old.Manifest.SimRateKIPS, new.Manifest.SimRateKIPS,
-		higherBetter, opts.RateTol)
-	add("manifest.runs", float64(old.Manifest.Runs), float64(new.Manifest.Runs),
-		higherBetter, opts.RelTol)
-
-	oldRuns := make(map[string]obs.RunRecord, len(old.Runs))
-	for _, r := range old.Runs {
-		oldRuns[runKey(r)] = r
-	}
-	newRuns := make(map[string]obs.RunRecord, len(new.Runs))
-	for _, r := range new.Runs {
-		newRuns[runKey(r)] = r
-	}
-	keys := make([]string, 0, len(oldRuns))
-	for k := range oldRuns {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		o := oldRuns[k]
-		n, ok := newRuns[k]
-		if !ok {
-			res.Rows = append(res.Rows, DiffRow{Metric: k + ".missing",
-				Old: 1, New: 0, DeltaPct: -100, Status: "REGRESSED"})
-			continue
-		}
-		add(k+".ipc", o.IPC, n.IPC, higherBetter, opts.RelTol)
-		add(k+".time_sec", o.TimeSec, n.TimeSec, lowerBetter, opts.RelTol)
-		add(k+".energy_j", energyTotal(o), energyTotal(n), lowerBetter, opts.RelTol)
-		add(k+".instructions", float64(o.Instructions), float64(n.Instructions),
-			exactMatch, opts.RelTol)
-	}
-	// Runs only in the new report: visible, never a regression.
-	extras := make([]string, 0)
-	for k := range newRuns {
-		if _, ok := oldRuns[k]; !ok {
-			extras = append(extras, k)
-		}
-	}
-	sort.Strings(extras)
-	for _, k := range extras {
-		res.Rows = append(res.Rows, DiffRow{Metric: k + ".new", Old: 0,
-			New: 1, Status: "ok"})
-	}
-	return res
 }
 
 // energyTotal sums a record's per-component energy map.

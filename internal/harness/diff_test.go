@@ -36,7 +36,7 @@ func fixtureReport() obs.Report {
 
 func TestDiffReportsIdentical(t *testing.T) {
 	r := fixtureReport()
-	res := DiffReports(r, r, DiffOptions{})
+	res := diffRows("report", reportRows(&r), reportRows(&r), DiffOptions{})
 	if res.Regressed() {
 		t.Fatalf("identical reports regressed: %+v", res.Regressions())
 	}
@@ -53,7 +53,7 @@ func TestDiffReportsRegression(t *testing.T) {
 	bad.Runs[0].IPC = 1.0                // -20% IPC: regression
 	bad.Runs[1].EnergyJ["simd"] = 4.0e-4 // +33% energy: regression
 	bad.Manifest.SimRateKIPS = 4500      // -10%: within RateTol, ok
-	res := DiffReports(old, bad, DiffOptions{})
+	res := diffRows("report", reportRows(&old), reportRows(&bad), DiffOptions{})
 	if !res.Regressed() {
 		t.Fatal("regressed report passed")
 	}
@@ -77,7 +77,7 @@ func TestDiffReportsImprovementPasses(t *testing.T) {
 	better := fixtureReport()
 	better.Runs[0].IPC = 2.0        // higher is better
 	better.Runs[0].TimeSec = 1.0e-4 // lower is better
-	res := DiffReports(old, better, DiffOptions{})
+	res := diffRows("report", reportRows(&old), reportRows(&better), DiffOptions{})
 	if res.Regressed() {
 		t.Fatalf("improvement flagged as regression: %+v", res.Regressions())
 	}
@@ -87,7 +87,7 @@ func TestDiffReportsDeterminismDrift(t *testing.T) {
 	old := fixtureReport()
 	drift := fixtureReport()
 	drift.Runs[0].Instructions = 400100 // instruction count is exact-match
-	res := DiffReports(old, drift, DiffOptions{RelTol: 1e-5})
+	res := diffRows("report", reportRows(&old), reportRows(&drift), DiffOptions{RelTol: 1e-5})
 	if !res.Regressed() {
 		t.Fatal("instruction-count drift not flagged")
 	}
@@ -98,12 +98,12 @@ func TestDiffReportsMissingRun(t *testing.T) {
 	short := fixtureReport()
 	short.Runs = short.Runs[:1]
 	short.Manifest.Runs = 1
-	res := DiffReports(old, short, DiffOptions{})
+	res := diffRows("report", reportRows(&old), reportRows(&short), DiffOptions{})
 	if !res.Regressed() {
 		t.Fatal("missing run not flagged")
 	}
 	// The reverse — a new run appearing — must pass.
-	res = DiffReports(short, old, DiffOptions{})
+	res = diffRows("report", reportRows(&short), reportRows(&old), DiffOptions{})
 	if res.Regressed() {
 		t.Fatalf("added run flagged as regression: %+v", res.Regressions())
 	}
@@ -113,17 +113,17 @@ func TestDiffBench(t *testing.T) {
 	old := BenchRecord{CPUInstsPerSec: 1e6, GPUWaveInstsPerSec: 2e6,
 		CPUInstructions: 2000000, GPUWaveInsts: 500000}
 	same := old
-	if res := DiffBench(old, same, DiffOptions{}); res.Regressed() {
+	if res := diffRows("bench", benchRows(&old), benchRows(&same), DiffOptions{}); res.Regressed() {
 		t.Fatalf("identical bench records regressed: %+v", res.Regressions())
 	}
 	slow := old
 	slow.CPUInstsPerSec = 5e5 // -50%: beyond the default 25% RateTol
-	if res := DiffBench(old, slow, DiffOptions{}); !res.Regressed() {
+	if res := diffRows("bench", benchRows(&old), benchRows(&slow), DiffOptions{}); !res.Regressed() {
 		t.Fatal("halved sim rate not flagged")
 	}
 	jitter := old
 	jitter.CPUInstsPerSec = 0.9e6 // -10%: host noise, within tolerance
-	if res := DiffBench(old, jitter, DiffOptions{}); res.Regressed() {
+	if res := diffRows("bench", benchRows(&old), benchRows(&jitter), DiffOptions{}); res.Regressed() {
 		t.Fatalf("10%% rate jitter flagged: %+v", res.Regressions())
 	}
 }
@@ -139,40 +139,40 @@ func fixtureLoadRecord() dist.LoadRecord {
 
 func TestDiffLoad(t *testing.T) {
 	old := fixtureLoadRecord()
-	if res := DiffLoad(old, old, DiffOptions{}); res.Regressed() {
+	if res := diffRows("load", loadRows(&old), loadRows(&old), DiffOptions{}); res.Regressed() {
 		t.Fatalf("identical load records regressed: %+v", res.Regressions())
 	}
 	// p99 blow-up beyond RateTol regresses; the direction is respected —
 	// the same magnitude of improvement passes.
 	slow := old
 	slow.LatencyP99MS = 100
-	res := DiffLoad(old, slow, DiffOptions{})
+	res := diffRows("load", loadRows(&old), loadRows(&slow), DiffOptions{})
 	if !res.Regressed() {
 		t.Fatal("10x p99 not flagged")
 	}
 	if got := res.Regressions()[0].Metric; got != "latency_p99_ms" {
 		t.Fatalf("regressed metric = %s, want latency_p99_ms", got)
 	}
-	if res := DiffLoad(slow, old, DiffOptions{}); res.Regressed() {
+	if res := diffRows("load", loadRows(&slow), loadRows(&old), DiffOptions{}); res.Regressed() {
 		t.Fatalf("p99 improvement flagged: %+v", res.Regressions())
 	}
 	// Throughput collapse regresses, jitter does not.
 	stall := old
 	stall.RequestsPerSec = 100
-	if res := DiffLoad(old, stall, DiffOptions{}); !res.Regressed() {
+	if res := diffRows("load", loadRows(&old), loadRows(&stall), DiffOptions{}); !res.Regressed() {
 		t.Fatal("-80% throughput not flagged")
 	}
 	jitter := old
 	jitter.RequestsPerSec = 450
 	jitter.LatencyP99MS = 11
-	if res := DiffLoad(old, jitter, DiffOptions{}); res.Regressed() {
+	if res := diffRows("load", loadRows(&old), loadRows(&jitter), DiffOptions{}); res.Regressed() {
 		t.Fatalf("host jitter flagged: %+v", res.Regressions())
 	}
 	// Any error against a zero-error baseline regresses, regardless of
 	// how loose the rate tolerance is.
 	errs := old
 	errs.Errors, errs.ErrorRate = 3, 0.003
-	if res := DiffLoad(old, errs, DiffOptions{RateTol: 10}); !res.Regressed() {
+	if res := diffRows("load", loadRows(&old), loadRows(&errs), DiffOptions{RateTol: 10}); !res.Regressed() {
 		t.Fatal("new errors against a clean baseline not flagged")
 	}
 }
@@ -238,7 +238,7 @@ func TestGoldenDiffTable(t *testing.T) {
 	bad.Runs[0].IPC = 1.0
 	bad.Runs[1].EnergyJ["simd"] = 4.0e-4
 	bad.Manifest.SimRateKIPS = 6000 // +20% improvement, within tolerance
-	res := DiffReports(old, bad, DiffOptions{})
+	res := diffRows("report", reportRows(&old), reportRows(&bad), DiffOptions{})
 	var buf bytes.Buffer
 	if err := res.Format(&buf); err != nil {
 		t.Fatal(err)

@@ -76,13 +76,13 @@ func fixtureTrafficReport() traffic.Report {
 // only; vanished scenarios regress, new ones pass.
 func TestDiffTraffic(t *testing.T) {
 	old := fixtureTrafficReport()
-	if res := DiffTraffic(old, old, DiffOptions{}); res.Regressed() {
+	if res := diffRows("traffic", trafficRows(&old), trafficRows(&old), DiffOptions{}); res.Regressed() {
 		t.Fatalf("identical reports regressed: %+v", res.Regressions())
 	}
 
 	costly := fixtureTrafficReport()
 	costly.Scenarios[0].EnergyPerReqJ *= 1.10
-	res := DiffTraffic(old, costly, DiffOptions{})
+	res := diffRows("traffic", trafficRows(&old), trafficRows(&costly), DiffOptions{})
 	if !res.Regressed() {
 		t.Fatal("+10% energy per request not flagged")
 	}
@@ -90,35 +90,35 @@ func TestDiffTraffic(t *testing.T) {
 		t.Fatalf("regressed metric = %s, want energy_per_req_j", got)
 	}
 	// The same magnitude of improvement passes.
-	if res := DiffTraffic(costly, old, DiffOptions{}); res.Regressed() {
+	if res := diffRows("traffic", trafficRows(&costly), trafficRows(&old), DiffOptions{}); res.Regressed() {
 		t.Fatalf("energy improvement flagged: %+v", res.Regressions())
 	}
 
 	// SLO violations appearing against a clean baseline regress.
 	violated := fixtureTrafficReport()
 	violated.Scenarios[1].SLOViolations = 25
-	if res := DiffTraffic(old, violated, DiffOptions{}); !res.Regressed() {
+	if res := diffRows("traffic", trafficRows(&old), trafficRows(&violated), DiffOptions{}); !res.Regressed() {
 		t.Fatal("new SLO violations not flagged")
 	}
 
 	// Request counts are deterministic: drift in either direction fails.
 	drifted := fixtureTrafficReport()
 	drifted.Scenarios[0].Requests += 7
-	if res := DiffTraffic(old, drifted, DiffOptions{}); !res.Regressed() {
+	if res := diffRows("traffic", trafficRows(&old), trafficRows(&drifted), DiffOptions{}); !res.Regressed() {
 		t.Fatal("request-count drift not flagged")
 	}
 
 	// A scenario that vanished regresses; a new one is just noted.
 	shrunk := fixtureTrafficReport()
 	shrunk.Scenarios = shrunk.Scenarios[:1]
-	res = DiffTraffic(old, shrunk, DiffOptions{})
+	res = diffRows("traffic", trafficRows(&old), trafficRows(&shrunk), DiffOptions{})
 	if !res.Regressed() {
 		t.Fatal("missing scenario not flagged")
 	}
 	if got := res.Regressions()[0].Metric; !strings.Contains(got, "missing") {
 		t.Fatalf("regressed metric = %s, want *.missing", got)
 	}
-	if res := DiffTraffic(shrunk, old, DiffOptions{}); res.Regressed() {
+	if res := diffRows("traffic", trafficRows(&shrunk), trafficRows(&old), DiffOptions{}); res.Regressed() {
 		t.Fatalf("new scenario flagged: %+v", res.Regressions())
 	}
 }
@@ -176,7 +176,7 @@ func TestTrendTrafficKind(t *testing.T) {
 		for i := range r.Scenarios {
 			r.Scenarios[i].EnergyPerReqJ *= eprScale
 		}
-		return NewTrafficHistoryEntry(r, "go-test", unix)
+		return NewHistoryEntry(HistoryEntry{Traffic: &r}, "go-test", unix)
 	}
 	good := []HistoryEntry{entry(1, 1), entry(1, 2), entry(1, 3)}
 	if res := Trend(good, 0, DiffOptions{}); res.Regressed() {

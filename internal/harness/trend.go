@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 
@@ -13,10 +14,11 @@ import (
 )
 
 // This file is the trend layer over the benchmark records: `hetcore
-// bench -history` and `hetload -history` append one JSONL entry per
-// measurement to BENCH_history.jsonl, and `hetcore trend` compares the
-// newest entry of each kind against the field-wise median of the prior
-// entries with the same direction-aware thresholds `hetcore diff` uses.
+// bench -history`, `hetcore traffic -history` and `hetload -history`
+// append one JSONL entry per measurement to BENCH_history.jsonl, and
+// `hetcore trend` compares the newest entry of each kind against the
+// field-wise median of the prior entries' metric rows, with the same
+// row diff and direction-aware thresholds `hetcore diff` uses.
 // A median baseline makes the gate robust to individual noisy runs: one
 // slow measurement in the history does not move the reference much, and
 // one slow new measurement still trips the gate.
@@ -43,23 +45,25 @@ func (e HistoryEntry) validate() error {
 	if e.Schema != TrendSchemaVersion {
 		return fmt.Errorf("harness: history entry schema %q, want %q", e.Schema, TrendSchemaVersion)
 	}
-	switch e.Kind {
-	case "bench":
-		if e.Bench == nil {
-			return fmt.Errorf("harness: bench history entry without bench record")
-		}
-	case "load":
-		if e.Load == nil {
-			return fmt.Errorf("harness: load history entry without load record")
-		}
-	case "traffic":
-		if e.Traffic == nil {
-			return fmt.Errorf("harness: traffic history entry without traffic report")
-		}
-	default:
+	switch k, _, ok := e.payload(); {
+	case k == nil:
 		return fmt.Errorf("harness: unknown history entry kind %q", e.Kind)
+	case !ok:
+		return fmt.Errorf("harness: %s history entry without %s", e.Kind, k.noun)
 	}
 	return nil
+}
+
+// payload returns the entry's kind and metric rows; k is nil for an
+// unknown kind and ok false when the kind's payload field is unset.
+func (e HistoryEntry) payload() (k *recordKind, rows []metricRow, ok bool) {
+	for i := range recordKinds {
+		if k = &recordKinds[i]; k.name == e.Kind && k.history != nil {
+			rows, ok = k.history(&e)
+			return k, rows, ok
+		}
+	}
+	return nil, nil, false
 }
 
 // AppendHistory appends one entry to the JSONL history file, creating
@@ -198,14 +202,13 @@ func Trend(entries []HistoryEntry, window int, opts DiffOptions) TrendResult {
 				prior = prior[len(prior)-window:]
 			}
 			kr.Baseline = len(prior)
-			switch kind {
-			case "bench":
-				kr.Diff = DiffBench(medianBench(prior), *newest.Bench, opts)
-			case "load":
-				kr.Diff = DiffLoad(medianLoad(prior), *newest.Load, opts)
-			case "traffic":
-				kr.Diff = DiffTraffic(medianTraffic(prior), *newest.Traffic, opts)
+			var base [][]metricRow
+			for _, e := range prior {
+				_, rows, _ := e.payload()
+				base = append(base, rows)
 			}
+			_, rows, _ := newest.payload()
+			kr.Diff = diffRows(kind, medianRows(base), rows, opts)
 		}
 		res.Kinds = append(res.Kinds, kr)
 	}
@@ -227,126 +230,48 @@ func median(vs []float64) float64 {
 	return (s[mid-1] + s[mid]) / 2
 }
 
-// medianBench builds a synthetic baseline record whose compared fields
-// are the field-wise medians of the prior entries. Suite fields count
-// only entries that have them (older records predate the suite).
-func medianBench(prior []HistoryEntry) BenchRecord {
-	var (
-		cpuRate, gpuRate, suiteRate   []float64
-		cpuInsts, gpuInsts, suiteRuns []float64
-	)
-	for _, e := range prior {
-		b := e.Bench
-		cpuRate = append(cpuRate, b.CPUInstsPerSec)
-		gpuRate = append(gpuRate, b.GPUWaveInstsPerSec)
-		cpuInsts = append(cpuInsts, float64(b.CPUInstructions))
-		gpuInsts = append(gpuInsts, float64(b.GPUWaveInsts))
-		if b.SuiteRuns > 0 {
-			suiteRuns = append(suiteRuns, float64(b.SuiteRuns))
-			suiteRate = append(suiteRate, b.SuiteRunsPerSec)
-		}
-	}
-	return BenchRecord{
-		CPUInstsPerSec:     median(cpuRate),
-		GPUWaveInstsPerSec: median(gpuRate),
-		CPUInstructions:    uint64(median(cpuInsts)),
-		GPUWaveInsts:       uint64(median(gpuInsts)),
-		SuiteRuns:          int(median(suiteRuns)),
-		SuiteRunsPerSec:    median(suiteRate),
-	}
-}
-
-// medianLoad is medianBench for load records.
-func medianLoad(prior []HistoryEntry) dist.LoadRecord {
-	var rps, p50, p95, p99, errRate []float64
-	for _, e := range prior {
-		l := e.Load
-		rps = append(rps, l.RequestsPerSec)
-		p50 = append(p50, l.LatencyP50MS)
-		p95 = append(p95, l.LatencyP95MS)
-		p99 = append(p99, l.LatencyP99MS)
-		errRate = append(errRate, l.ErrorRate)
-	}
-	return dist.LoadRecord{
-		RequestsPerSec: median(rps),
-		LatencyP50MS:   median(p50),
-		LatencyP95MS:   median(p95),
-		LatencyP99MS:   median(p99),
-		ErrorRate:      median(errRate),
-	}
-}
-
-// medianTraffic builds a synthetic baseline report: per scenario seen in
-// the prior entries, the field-wise median of the compared metrics. The
-// simulation is deterministic, so the medians normally equal every
-// entry; the median shields the gate from one bad historical entry all
-// the same.
-func medianTraffic(prior []HistoryEntry) traffic.Report {
-	type agg struct {
-		res                    traffic.Result
-		epr, p50, p99, slo, dl []float64
-		reqs                   []float64
-	}
-	byName := map[string]*agg{}
-	var order []string
-	for _, e := range prior {
-		for _, s := range e.Traffic.Scenarios {
-			a := byName[s.Scenario]
-			if a == nil {
-				a = &agg{res: s}
-				byName[s.Scenario] = a
-				order = append(order, s.Scenario)
+// medianRows is the field-wise median of several records' rows: each
+// metric's median over the records that carry it, truncated for counts.
+// Groups come in sorted order, each row labelled as first seen.
+func medianRows(records [][]metricRow) []metricRow {
+	at := map[rowKey]int{}
+	var out []metricRow
+	var vals [][]float64
+	for _, rows := range records {
+		for _, r := range rows {
+			i, ok := at[rowKey{r.group, r.name}]
+			if !ok {
+				i = len(out)
+				at[rowKey{r.group, r.name}] = i
+				out = append(out, r)
+				vals = append(vals, nil)
 			}
-			a.reqs = append(a.reqs, float64(s.Requests))
-			a.epr = append(a.epr, s.EnergyPerReqJ)
-			a.p50 = append(a.p50, s.P50Sec)
-			a.p99 = append(a.p99, s.P99Sec)
-			a.slo = append(a.slo, float64(s.SLOViolations))
-			a.dl = append(a.dl, float64(s.DeadlineMisses))
+			vals[i] = append(vals[i], r.value)
 		}
 	}
-	sort.Strings(order)
-	rep := traffic.Report{Schema: traffic.SchemaVersion}
-	if len(prior) > 0 {
-		rep.Trace = prior[len(prior)-1].Traffic.Trace
-		rep.SLOMS = prior[len(prior)-1].Traffic.SLOMS
+	for i := range out {
+		out[i].value = median(vals[i])
+		if out[i].count {
+			out[i].value = math.Trunc(out[i].value)
+		}
 	}
-	for _, name := range order {
-		a := byName[name]
-		r := a.res
-		r.Requests = uint64(median(a.reqs))
-		r.EnergyPerReqJ = median(a.epr)
-		r.P50Sec = median(a.p50)
-		r.P99Sec = median(a.p99)
-		r.SLOViolations = uint64(median(a.slo))
-		r.DeadlineMisses = uint64(median(a.dl))
-		rep.Scenarios = append(rep.Scenarios, r)
-	}
-	return rep
+	sort.SliceStable(out, func(i, j int) bool { return out[i].group < out[j].group })
+	return out
 }
 
-// NewBenchHistoryEntry wraps a bench record for the history file.
-// unixSec stamps the measurement time (clock-read by the caller so
+// NewHistoryEntry stamps e, which holds one payload (for example
+// HistoryEntry{Bench: &rec}), for the history file: schema, kind, Go
+// version and unixSec, the measurement time (clock-read by the caller so
 // library code stays deterministic under test).
-func NewBenchHistoryEntry(b BenchRecord, unixSec int64) HistoryEntry {
-	return HistoryEntry{
-		Schema: TrendSchemaVersion, Kind: "bench",
-		UnixSec: unixSec, GoVersion: b.GoVersion, Bench: &b,
+func NewHistoryEntry(e HistoryEntry, goVersion string, unixSec int64) HistoryEntry {
+	e.Schema, e.GoVersion, e.UnixSec = TrendSchemaVersion, goVersion, unixSec
+	for _, k := range recordKinds {
+		if k.history == nil {
+			continue
+		}
+		if _, ok := k.history(&e); ok {
+			e.Kind = k.name
+		}
 	}
-}
-
-// NewLoadHistoryEntry wraps a load record for the history file.
-func NewLoadHistoryEntry(l dist.LoadRecord, unixSec int64) HistoryEntry {
-	return HistoryEntry{
-		Schema: TrendSchemaVersion, Kind: "load",
-		UnixSec: unixSec, GoVersion: l.GoVersion, Load: &l,
-	}
-}
-
-// NewTrafficHistoryEntry wraps a traffic report for the history file.
-func NewTrafficHistoryEntry(r traffic.Report, goVersion string, unixSec int64) HistoryEntry {
-	return HistoryEntry{
-		Schema: TrendSchemaVersion, Kind: "traffic",
-		UnixSec: unixSec, GoVersion: goVersion, Traffic: &r,
-	}
+	return e
 }

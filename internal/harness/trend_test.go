@@ -31,14 +31,22 @@ func loadRec(rps, p99 float64) dist.LoadRecord {
 	}
 }
 
+func benchEntry(b BenchRecord, unixSec int64) HistoryEntry {
+	return NewHistoryEntry(HistoryEntry{Bench: &b}, b.GoVersion, unixSec)
+}
+
+func loadEntry(l dist.LoadRecord, unixSec int64) HistoryEntry {
+	return NewHistoryEntry(HistoryEntry{Load: &l}, l.GoVersion, unixSec)
+}
+
 // TestHistoryRoundTrip: append entries of both kinds, load them back in
 // order, intact.
 func TestHistoryRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_history.jsonl")
 	entries := []HistoryEntry{
-		NewBenchHistoryEntry(benchRec(1e6), 100),
-		NewLoadHistoryEntry(loadRec(500, 3), 200),
-		NewBenchHistoryEntry(benchRec(1.1e6), 300),
+		benchEntry(benchRec(1e6), 100),
+		loadEntry(loadRec(500, 3), 200),
+		benchEntry(benchRec(1.1e6), 300),
 	}
 	for _, e := range entries {
 		if err := AppendHistory(path, e); err != nil {
@@ -95,7 +103,7 @@ func TestLoadHistoryRejectsMalformedLine(t *testing.T) {
 // TestTrendSingleEntryOK: one entry per kind has nothing to compare and
 // must pass trivially with Baseline 0.
 func TestTrendSingleEntryOK(t *testing.T) {
-	res := Trend([]HistoryEntry{NewBenchHistoryEntry(benchRec(1e6), 1)}, 0, DiffOptions{})
+	res := Trend([]HistoryEntry{benchEntry(benchRec(1e6), 1)}, 0, DiffOptions{})
 	if res.Regressed() {
 		t.Error("single entry regressed")
 	}
@@ -117,10 +125,10 @@ func TestTrendSingleEntryOK(t *testing.T) {
 func TestTrendDirectionAware(t *testing.T) {
 	hist := func(newestRate float64) []HistoryEntry {
 		return []HistoryEntry{
-			NewBenchHistoryEntry(benchRec(1.00e6), 1),
-			NewBenchHistoryEntry(benchRec(1.02e6), 2),
-			NewBenchHistoryEntry(benchRec(0.98e6), 3),
-			NewBenchHistoryEntry(benchRec(newestRate), 4),
+			benchEntry(benchRec(1.00e6), 1),
+			benchEntry(benchRec(1.02e6), 2),
+			benchEntry(benchRec(0.98e6), 3),
+			benchEntry(benchRec(newestRate), 4),
 		}
 	}
 	opts := DiffOptions{RateTol: 0.25}
@@ -146,8 +154,8 @@ func TestTrendDeterministicCountMismatch(t *testing.T) {
 	newest := benchRec(1e6)
 	newest.CPUInstructions = 300_500 // +0.17% on a deterministic count
 	hist := []HistoryEntry{
-		NewBenchHistoryEntry(benchRec(1e6), 1),
-		NewBenchHistoryEntry(newest, 2),
+		benchEntry(benchRec(1e6), 1),
+		benchEntry(newest, 2),
 	}
 	if res := Trend(hist, 0, DiffOptions{}); !res.Regressed() {
 		t.Error("deterministic instruction-count drift passed")
@@ -162,11 +170,11 @@ func TestTrendWindow(t *testing.T) {
 	// old entries are included... so windowing changes the verdict's
 	// baseline size, which is what we assert.
 	hist := []HistoryEntry{
-		NewBenchHistoryEntry(benchRec(1e6), 1),
-		NewBenchHistoryEntry(benchRec(1e6), 2),
-		NewBenchHistoryEntry(benchRec(1e6), 3),
-		NewBenchHistoryEntry(benchRec(1e6), 4),
-		NewBenchHistoryEntry(benchRec(1e6), 5),
+		benchEntry(benchRec(1e6), 1),
+		benchEntry(benchRec(1e6), 2),
+		benchEntry(benchRec(1e6), 3),
+		benchEntry(benchRec(1e6), 4),
+		benchEntry(benchRec(1e6), 5),
 	}
 	res := Trend(hist, 2, DiffOptions{})
 	if res.Kinds[0].Baseline != 2 {
@@ -182,15 +190,15 @@ func TestTrendWindow(t *testing.T) {
 // is lower-better, so a p99 collapse upward regresses.
 func TestTrendLoadKind(t *testing.T) {
 	good := []HistoryEntry{
-		NewLoadHistoryEntry(loadRec(500, 3), 1),
-		NewLoadHistoryEntry(loadRec(520, 2.5), 2),
+		loadEntry(loadRec(500, 3), 1),
+		loadEntry(loadRec(520, 2.5), 2),
 	}
 	if res := Trend(good, 0, DiffOptions{RateTol: 0.5}); res.Regressed() {
 		t.Error("healthy load trend regressed")
 	}
 	bad := []HistoryEntry{
-		NewLoadHistoryEntry(loadRec(500, 3), 1),
-		NewLoadHistoryEntry(loadRec(510, 30), 2), // p99 blew up 10x
+		loadEntry(loadRec(500, 3), 1),
+		loadEntry(loadRec(510, 30), 2), // p99 blew up 10x
 	}
 	if res := Trend(bad, 0, DiffOptions{RateTol: 0.5}); !res.Regressed() {
 		t.Error("10x p99 latency blow-up passed")
@@ -201,10 +209,10 @@ func TestTrendLoadKind(t *testing.T) {
 // per kind, sorted.
 func TestTrendMixedKinds(t *testing.T) {
 	hist := []HistoryEntry{
-		NewBenchHistoryEntry(benchRec(1e6), 1),
-		NewLoadHistoryEntry(loadRec(500, 3), 2),
-		NewBenchHistoryEntry(benchRec(1e6), 3),
-		NewLoadHistoryEntry(loadRec(500, 3), 4),
+		benchEntry(benchRec(1e6), 1),
+		loadEntry(loadRec(500, 3), 2),
+		benchEntry(benchRec(1e6), 3),
+		loadEntry(loadRec(500, 3), 4),
 	}
 	res := Trend(hist, 0, DiffOptions{})
 	if len(res.Kinds) != 2 || res.Kinds[0].Kind != "bench" || res.Kinds[1].Kind != "load" {
@@ -222,10 +230,10 @@ func TestTrendMixedKinds(t *testing.T) {
 // not the previous entry.
 func TestTrendMedianRobustToOutlier(t *testing.T) {
 	hist := []HistoryEntry{
-		NewBenchHistoryEntry(benchRec(1e6), 1),
-		NewBenchHistoryEntry(benchRec(0.1e6), 2), // one starved CI run
-		NewBenchHistoryEntry(benchRec(1e6), 3),
-		NewBenchHistoryEntry(benchRec(0.5e6), 4), // genuine slowdown
+		benchEntry(benchRec(1e6), 1),
+		benchEntry(benchRec(0.1e6), 2), // one starved CI run
+		benchEntry(benchRec(1e6), 3),
+		benchEntry(benchRec(0.5e6), 4), // genuine slowdown
 	}
 	if res := Trend(hist, 0, DiffOptions{RateTol: 0.25}); !res.Regressed() {
 		t.Error("slowdown hidden by an outlier in the history")

@@ -49,6 +49,12 @@ go test -race -run 'TestFigTablesDeterministicAcrossJobs|TestEngineCacheSharedAc
 echo "== go test -race =="
 go test -race ./...
 
+echo "== benchmark module (perfbench) =="
+# perfbench is its own Go module that imports this one through a replace
+# directive, so the root go vet/test above never build it: vet and test
+# it here so a change to the API it uses cannot break it silently.
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== regression gate (hetcore diff) =="
 # Re-measure this host's simulation rate at the baseline's budget and
 # compare against the committed record. The deterministic instruction
