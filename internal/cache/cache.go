@@ -152,8 +152,8 @@ type Result struct {
 // eviction so the caller can propagate writebacks.
 func (c *Cache) Access(addr uint64, isWrite bool) Result {
 	la := c.lineAddr(addr)
-	set := c.setOf(la)
-	base := set * c.ways
+	base := c.setOf(la) * c.ways
+	set := c.data[base : base+c.ways]
 	c.tick++
 	if isWrite {
 		c.stats.Writes++
@@ -161,38 +161,39 @@ func (c *Cache) Access(addr uint64, isWrite bool) Result {
 		c.stats.Reads++
 	}
 
-	// Hit path.
-	for w := 0; w < c.ways; w++ {
-		l := &c.data[base+w]
-		if l.valid && l.tag == la {
+	// One pass finds the hit or, failing that, the victim: the first
+	// invalid way, else the first way with the lowest lru.
+	invalid, lru := -1, -1
+	for w := range set {
+		l := &set[w]
+		if !l.valid {
+			if invalid < 0 {
+				invalid = w
+			}
+			continue
+		}
+		if l.tag == la {
 			l.lru = c.tick
 			if isWrite {
 				l.dirty = true
 			}
 			return Result{Hit: true}
 		}
+		if lru < 0 || l.lru < set[lru].lru {
+			lru = w
+		}
 	}
 
-	// Miss: pick victim (invalid way first, else LRU).
 	if isWrite {
 		c.stats.WriteMisses++
 	} else {
 		c.stats.ReadMisses++
 	}
-	victim := base
-	for w := 0; w < c.ways; w++ {
-		l := &c.data[base+w]
-		if !l.valid {
-			victim = base + w
-			break
-		}
-		if c.data[victim].valid && l.lru < c.data[victim].lru {
-			victim = base + w
-		}
-	}
 	res := Result{}
-	v := &c.data[victim]
-	if v.valid {
+	victim := invalid
+	if victim < 0 {
+		victim = lru
+		v := &set[victim]
 		res.Evicted = true
 		res.EvictedAddr = v.tag << c.lineBits
 		res.EvictedDirty = v.dirty
@@ -200,7 +201,7 @@ func (c *Cache) Access(addr uint64, isWrite bool) Result {
 			c.stats.Writebacks++
 		}
 	}
-	*v = line{tag: la, valid: true, dirty: isWrite, lru: c.tick}
+	set[victim] = line{tag: la, valid: true, dirty: isWrite, lru: c.tick}
 	return res
 }
 

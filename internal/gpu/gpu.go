@@ -59,6 +59,12 @@ type computeUnit struct {
 	pending  []*wave
 	vl1      *cache.Cache
 	rr       int // round-robin scheduling cursor
+	// wake is a lower bound on the next cycle any resident wave can
+	// issue: the minimum, over waves with instructions left, of readyAt,
+	// raised to lastDone when the decoded pending instruction depends on
+	// the previous result. Until then a visit finds nothing to issue or
+	// decode, so it only advances rr.
+	wake int64
 }
 
 // Device is a GPU instance executing one kernel.
@@ -229,40 +235,8 @@ func (d *Device) Run() Stats {
 		}
 		progressed := false
 		for _, cu := range d.cus {
-			issued := 0
-			n := len(cu.resident)
-			for k := 0; k < n && issued < d.cfg.IssuePerCycle; k++ {
-				wv := cu.resident[(cu.rr+k)%n]
-				if wv.remaining == 0 || wv.readyAt > d.cycle {
-					continue
-				}
-				d.decode(wv)
-				// In-order issue: a dependent instruction waits for the
-				// previous result.
-				if wv.pending.depPrev && wv.lastDone > d.cycle {
-					continue
-				}
-				d.issue(cu, wv, beats)
-				issued++
+			if d.step(cu, beats) {
 				progressed = true
-			}
-			cu.rr++
-			// Retire finished waves; admit pending ones.
-			if issued > 0 {
-				live := cu.resident[:0]
-				for _, wv := range cu.resident {
-					if wv.remaining == 0 && wv.readyAt <= d.cycle {
-						d.active--
-						continue
-					}
-					live = append(live, wv)
-				}
-				cu.resident = live
-				for len(cu.resident) < d.cfg.MaxWavesPerCU && len(cu.pending) > 0 {
-					cu.resident = append(cu.resident, cu.pending[0])
-					cu.pending = cu.pending[1:]
-					progressed = true
-				}
 			}
 		}
 		if progressed {
@@ -277,6 +251,85 @@ func (d *Device) Run() Stats {
 		d.maybeSample()
 	}
 	return d.Stats()
+}
+
+// step is one CU's cycle: it issues up to IssuePerCycle ready waves,
+// scanning round-robin from the cursor, then retires finished waves and
+// admits pending ones if anything issued. It reports whether a wave
+// issued or was admitted. A CU whose wake bound is in the future skips
+// the scan, which would find nothing, but still advances its cursor; the
+// scan itself recomputes the bound from each wave's state after its turn.
+func (d *Device) step(cu *computeUnit, beats int64) bool {
+	n := len(cu.resident)
+	if cu.wake > d.cycle || n == 0 {
+		cu.rr++
+		return false
+	}
+	wake := int64(1) << 62
+	issued := 0
+	i := cu.rr % n
+	for k := 0; k < n; k++ {
+		wv := cu.resident[i]
+		if i++; i == n {
+			i = 0
+		}
+		if wv.remaining == 0 {
+			continue
+		}
+		if issued < d.cfg.IssuePerCycle && wv.readyAt <= d.cycle {
+			d.decode(wv)
+			// In-order issue: a dependent instruction waits for the
+			// previous result.
+			if !wv.pending.depPrev || wv.lastDone <= d.cycle {
+				d.issue(cu, wv, beats)
+				issued++
+				if wv.remaining == 0 {
+					continue
+				}
+			}
+		}
+		if at := wv.wakeAt(); at < wake {
+			wake = at
+		}
+	}
+	cu.rr++
+	cu.wake = wake
+	if issued == 0 {
+		return false
+	}
+	d.retireAndAdmit(cu)
+	return true
+}
+
+// wakeAt is the earliest cycle the wave can issue as far as its state
+// shows: readyAt, or the previous result's completion when the decoded
+// pending instruction depends on it.
+func (wv *wave) wakeAt() int64 {
+	if wv.pending != nil && wv.pending.depPrev && wv.lastDone > wv.readyAt {
+		return wv.lastDone
+	}
+	return wv.readyAt
+}
+
+// retireAndAdmit drops the CU's finished waves (no instructions left and
+// the last result landed), then fills free resident slots from the
+// pending queue in launch order. An admitted wave can issue at once, so
+// admission resets the CU's wake bound.
+func (d *Device) retireAndAdmit(cu *computeUnit) {
+	live := cu.resident[:0]
+	for _, wv := range cu.resident {
+		if wv.remaining == 0 && wv.readyAt <= d.cycle {
+			d.active--
+			continue
+		}
+		live = append(live, wv)
+	}
+	cu.resident = live
+	for len(cu.resident) < d.cfg.MaxWavesPerCU && len(cu.pending) > 0 {
+		cu.resident = append(cu.resident, cu.pending[0])
+		cu.pending = cu.pending[1:]
+		cu.wake = 0
+	}
 }
 
 // fastForward jumps to the next cycle where any wavefront becomes ready,
@@ -306,22 +359,10 @@ func (d *Device) fastForward() {
 	}
 	if next == 1<<62 {
 		d.stats.Attr.SchedIdle++ // end-of-kernel drain/retire cycle
-		// All resident waves are done but not yet retired: retire on
-		// the next cycle.
+		// Every resident wave is done and its last result has landed,
+		// but none retired because nothing issued: retire them now.
 		for _, cu := range d.cus {
-			live := cu.resident[:0]
-			for _, wv := range cu.resident {
-				if wv.remaining == 0 {
-					d.active--
-					continue
-				}
-				live = append(live, wv)
-			}
-			cu.resident = live
-			for len(cu.resident) < d.cfg.MaxWavesPerCU && len(cu.pending) > 0 {
-				cu.resident = append(cu.resident, cu.pending[0])
-				cu.pending = cu.pending[1:]
-			}
+			d.retireAndAdmit(cu)
 		}
 		return
 	}
@@ -349,7 +390,7 @@ func (d *Device) decode(wv *wave) {
 		l.Lap(prof.GPUIssue)
 		defer l.Lap(prof.GPUFetch)
 	}
-	k := d.kern
+	k := &d.kern
 	roll := wv.rng.Float64()
 	var class instClass
 	switch {
@@ -366,8 +407,8 @@ func (d *Device) decode(wv *wave) {
 
 // issue executes one wavefront instruction.
 func (d *Device) issue(cu *computeUnit, wv *wave, beats int64) {
-	k := d.kern
-	cfg := d.cfg
+	k := &d.kern
+	cfg := &d.cfg
 	class := wv.pending.class
 	wv.pending = nil
 	wv.remaining--
@@ -463,26 +504,27 @@ func (d *Device) memAccess(cu *computeUnit, wv *wave) int64 {
 		l.Lap(prof.GPUIssue)
 		defer l.Lap(prof.GPUMem)
 	}
-	k := d.kern
+	k := &d.kern
+	cfg := &d.cfg
 	worst := int64(0)
 	for i := 0; i < k.Divergence; i++ {
 		var addr uint64
 		if wv.rng.Bool(k.StreamFrac) {
-			wv.streamAddr += uint64(d.cfg.LineSize)
+			wv.streamAddr += uint64(cfg.LineSize)
 			addr = wv.streamAddr
 		} else {
 			addr = wv.base + (wv.rng.Uint64() % k.WorkingSetBytes)
 		}
 		var lat int64
 		if cu.vl1.Access(addr, false).Hit {
-			lat = int64(d.cfg.VL1RT)
+			lat = int64(cfg.VL1RT)
 		} else if d.l2.Access(addr, false).Hit {
-			lat = int64(d.cfg.L2RT)
-		} else if d.cfg.DRAMFixedCycles > 0 {
+			lat = int64(cfg.L2RT)
+		} else if cfg.DRAMFixedCycles > 0 {
 			d.dram.Accesses++
-			lat = int64(d.cfg.DRAMFixedCycles) + int64(d.cfg.L2RT)
+			lat = int64(cfg.DRAMFixedCycles) + int64(cfg.L2RT)
 		} else {
-			lat = int64(d.dram.LatencyCycles(d.cfg.FreqGHz)) + int64(d.cfg.L2RT)
+			lat = int64(d.dram.LatencyCycles(cfg.FreqGHz)) + int64(cfg.L2RT)
 		}
 		lat += int64(i) // pipelined issue of divergent accesses
 		if lat > worst {
