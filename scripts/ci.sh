@@ -55,6 +55,11 @@ echo "== benchmark module (perfbench) =="
 # it here so a change to the API it uses cannot break it silently.
 (cd perfbench && go vet ./... && go test ./...)
 
+echo "== hot-loop micro-benchmarks =="
+# One iteration each, so the benchmarks that size hot-loop changes keep
+# building and running; their timings gate nothing.
+go test -run '^$' -bench . -benchtime 1x ./internal/gpu ./internal/cache
+
 echo "== regression gate (hetcore diff) =="
 # Re-measure this host's simulation rate at the baseline's budget and
 # compare against the committed record. The deterministic instruction
