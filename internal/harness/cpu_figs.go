@@ -358,10 +358,11 @@ func Fig14(opts Options) (Table, error) {
 			ro := opts.runOpts()
 			ro.CMOSAdjust = pt.cmosAdj
 			ro.TFETAdjust = pt.tfetAdj
+			ro.Variant = "dvfs:" + pt.label
 			for _, p := range profiles {
 				cfg, p, ro := cfg, p, ro
 				key := opts.cpuKey(cfg.Name, p.Name)
-				key.Variant = "dvfs:" + pt.label
+				key.Variant = ro.Variant
 				jobs = append(jobs, engine.Job{Key: key, Run: func() (any, error) {
 					res, err := hetsim.RunCPU(cfg, p, ro)
 					if err != nil {

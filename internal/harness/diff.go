@@ -263,8 +263,7 @@ type recordKind struct {
 }
 
 var recordKinds = []recordKind{
-	newKind("report", "metrics report", obs.SchemaVersion, "manifest", reportRows,
-		func(r *obs.Report) error { return checkSchema(r.Manifest.Schema, obs.SchemaVersion) }, nil),
+	newKind("report", "metrics report", obs.SchemaVersion, "manifest", reportRows, checkReport, nil),
 	newKind("bench", "bench record", "", "cpu_insts_per_sec", benchRows,
 		nil, func(e *HistoryEntry) *BenchRecord { return e.Bench }),
 	newKind("load", "load record", dist.LoadSchemaVersion, "requests_per_sec", loadRows,
@@ -376,25 +375,36 @@ func DiffFiles(oldPath, newPath string, opts DiffOptions) (DiffResult, error) {
 	return diffRows(ka.name, a, b, opts), nil
 }
 
-// reportRows maps a -metrics-out report: the aggregate sim rate (host
-// timing) and run count, then for every run, in sorted run-key order,
-// the deterministic paper metrics.
+// checkReport validates a -metrics-out report: its schema stamp, and
+// that no two runs share a run key, since the diff matches runs by key
+// and a duplicate would hide all but one of them.
+func checkReport(r *obs.Report) error {
+	if err := checkSchema(r.Manifest.Schema, obs.SchemaVersion); err != nil {
+		return err
+	}
+	seen := make(map[string]bool, len(r.Runs))
+	for _, run := range r.Runs {
+		k := runKey(run)
+		if seen[k] {
+			return fmt.Errorf("two runs share the key %s", k)
+		}
+		seen[k] = true
+	}
+	return nil
+}
+
+// reportRows maps a -metrics-out report that checkReport accepted: the
+// aggregate sim rate (host timing) and run count, then for every run, in
+// sorted run-key order, the deterministic paper metrics.
 func reportRows(r *obs.Report) []metricRow {
 	rows := []metricRow{
 		{name: "manifest.sim_rate_kips", value: r.Manifest.SimRateKIPS, better: higherBetter, host: true},
 		{name: "manifest.runs", value: float64(r.Manifest.Runs), better: higherBetter, count: true},
 	}
-	runs := make(map[string]obs.RunRecord, len(r.Runs))
-	keys := make([]string, 0, len(r.Runs))
-	for _, run := range r.Runs {
-		if _, dup := runs[runKey(run)]; !dup {
-			keys = append(keys, runKey(run))
-		}
-		runs[runKey(run)] = run
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		run := runs[k]
+	runs := append([]obs.RunRecord(nil), r.Runs...)
+	sort.Slice(runs, func(i, j int) bool { return runKey(runs[i]) < runKey(runs[j]) })
+	for _, run := range runs {
+		k := runKey(run)
 		rows = append(rows,
 			metricRow{group: k, label: k, name: "ipc", value: run.IPC, better: higherBetter},
 			metricRow{group: k, label: k, name: "time_sec", value: run.TimeSec, better: lowerBetter},
@@ -465,6 +475,9 @@ func runKey(r obs.RunRecord) string {
 	k := r.Kind + "/" + r.Config + "/" + r.Workload
 	if r.Experiment != "" {
 		k = r.Experiment + "/" + k
+	}
+	if r.Variant != "" {
+		k += "/" + r.Variant
 	}
 	return k
 }

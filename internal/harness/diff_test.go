@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"hetcore/internal/dist"
@@ -106,6 +107,47 @@ func TestDiffReportsMissingRun(t *testing.T) {
 	res = diffRows("report", reportRows(&short), reportRows(&old), DiffOptions{})
 	if res.Regressed() {
 		t.Fatalf("added run flagged as regression: %+v", res.Regressions())
+	}
+}
+
+// TestDiffReportsOperatingPoints: runs of one config and workload at
+// several fig14 DVFS points are told apart by their variant, so a change
+// at any point, not only the last one recorded, regresses, and a report
+// with two runs under one key is refused rather than half compared.
+func TestDiffReportsOperatingPoints(t *testing.T) {
+	points := func() obs.Report {
+		r := obs.Report{Manifest: obs.Manifest{Schema: obs.SchemaVersion, Runs: 4}}
+		for _, v := range []string{"dvfs:BaseFreq-2GHz", "dvfs:BoostFreq-2.5GHz", "dvfs:SlowFreq-1.5GHz", "dvfs:ProcessVariation"} {
+			r.Runs = append(r.Runs, obs.RunRecord{
+				Experiment: "fig14", Kind: "cpu", Config: "AdvHet", Workload: "barnes", Variant: v,
+				Instructions: 20000, TimeSec: 5e-6, IPC: 0.5, EnergyJ: map[string]float64{"core": 2e-6},
+			})
+		}
+		return r
+	}
+	old, slow := points(), points()
+	slow.Runs[0].TimeSec = 6e-6
+	for _, r := range []*obs.Report{&old, &slow} {
+		if err := checkReport(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := diffRows("report", reportRows(&old), reportRows(&slow), DiffOptions{})
+	status := map[string]string{}
+	for _, row := range res.Rows {
+		status[row.Metric] = row.Status
+	}
+	if got := status["fig14/cpu/AdvHet/barnes/dvfs:BaseFreq-2GHz.time_sec"]; got != "REGRESSED" {
+		t.Fatalf("slowdown at the first operating point: status %q, rows %v", got, status)
+	}
+	if n := len(res.Regressions()); n != 1 {
+		t.Errorf("%d regressions, want 1: %+v", n, res.Regressions())
+	}
+
+	dup := points()
+	dup.Runs[1].Variant = dup.Runs[0].Variant
+	if err := checkReport(&dup); err == nil || !strings.Contains(err.Error(), "fig14/cpu/AdvHet/barnes/dvfs:BaseFreq-2GHz") {
+		t.Errorf("duplicate run key: err = %v, want one naming the key", err)
 	}
 }
 

@@ -79,6 +79,42 @@ func TestRunRecordDeterminism(t *testing.T) {
 	}
 }
 
+// TestFig14RecordsDeterministicAcrossJobs: fig14 records one run per
+// (DVFS point, config, workload); each carries its operating point as a
+// variant, so the report holds distinct run keys and the same canonical
+// bytes whatever order the worker pool finished in.
+func TestFig14RecordsDeterministicAcrossJobs(t *testing.T) {
+	report := func(jobs int) ([]obs.RunRecord, []byte) {
+		o := newObserver()
+		opts := Options{Instructions: 20_000, Seed: 1, Workloads: []string{"barnes"}, Jobs: jobs, Obs: o}
+		e, err := ByID("fig14")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RunExperiment(e, opts); err != nil {
+			t.Fatal(err)
+		}
+		recs := obs.CanonicalRecords(o.Records.Records())
+		var buf bytes.Buffer
+		if err := (obs.Report{Metrics: o.Metrics.Snapshot(), Runs: recs}).WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return recs, buf.Bytes()
+	}
+	recs, serial := report(1)
+	_, parallel := report(8)
+	if !bytes.Equal(serial, parallel) {
+		t.Errorf("fig14 canonical report differs between -jobs=1 and -jobs=8:\n--- jobs=1 ---\n%.3000s\n--- jobs=8 ---\n%.3000s", serial, parallel)
+	}
+	keys := map[string]bool{}
+	for _, r := range recs {
+		keys[runKey(r)] = true
+	}
+	if len(recs) != 8 || len(keys) != 8 {
+		t.Errorf("%d records under %d run keys, want 8 and 8 (4 operating points x 2 configs)", len(recs), len(keys))
+	}
+}
+
 // TestObservedExperimentRecords: every record produced by an observed
 // experiment carries the phase label, a complete cycle attribution
 // (buckets sum to CoreCycles) and an energy summary, and the trace

@@ -33,6 +33,9 @@ type RunOpts struct {
 	// Obs receives metrics, trace events, progress and the run record;
 	// nil disables all observability at the cost of one pointer check.
 	Obs *obs.Observer
+	// Variant labels the run record (RunRecord.Variant); it is the
+	// engine-key variant of runs that tweak the named config.
+	Variant string
 }
 
 // withDefaults fills unset options.
@@ -343,6 +346,7 @@ func RunCPU(cfg CPUConfig, prof trace.Profile, opts RunOpts) (CPUResult, error) 
 		}
 		o.FinishRecord(obs.RunRecord{
 			Kind: "cpu", Config: cfg.Name, Workload: prof.Name,
+			Variant:      opts.Variant,
 			Seed:         opts.Seed,
 			Instructions: insts, Cycles: maxCycles, CoreCycles: coreCycles,
 			TimeSec: timeSec, IPC: res.IPC,

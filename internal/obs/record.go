@@ -24,7 +24,10 @@ type RunRecord struct {
 	Experiment string `json:"experiment,omitempty"`
 	Config     string `json:"config"`
 	Workload   string `json:"workload"`
-	Seed       uint64 `json:"seed"`
+	// Variant is the run's engine-key variant, such as a fig14 DVFS
+	// operating point: it tells apart runs of one config and workload.
+	Variant string `json:"variant,omitempty"`
+	Seed    uint64 `json:"seed"`
 
 	Instructions uint64  `json:"instructions"`
 	Cycles       uint64  `json:"cycles"` // critical-path cycles (slowest core)
@@ -78,7 +81,7 @@ func CanonicalRecords(recs []RunRecord) []RunRecord {
 }
 
 // SortRecords orders records by (experiment, kind, config, workload,
-// seed) — the canonical order for reports. Concurrent run plans append
+// variant, seed) — the canonical order for reports. Concurrent run plans append
 // records in completion order; sorting restores a deterministic layout.
 func SortRecords(recs []RunRecord) {
 	sort.SliceStable(recs, func(i, j int) bool {
@@ -92,6 +95,8 @@ func SortRecords(recs []RunRecord) {
 			return a.Config < b.Config
 		case a.Workload != b.Workload:
 			return a.Workload < b.Workload
+		case a.Variant != b.Variant:
+			return a.Variant < b.Variant
 		default:
 			return a.Seed < b.Seed
 		}
