@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -540,5 +542,28 @@ func TestStamp(t *testing.T) {
 	}
 	if s != Stamp() {
 		t.Error("Stamp() not stable")
+	}
+}
+
+// TestDaemonDropsStalledHeader: a client that sends part of a request
+// header and then stalls has its connection closed once the header
+// timeout passes.
+func TestDaemonDropsStalledHeader(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 100 * time.Millisecond
+	d := startDaemon(t, DaemonConfig{Jobs: 1})
+	conn, err := net.Dial("tcp", d.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET "+PathHealth+" HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection with a stalled header not closed: %v", err)
 	}
 }

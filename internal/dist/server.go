@@ -95,6 +95,11 @@ func (d *Daemon) Handler() http.Handler {
 	return mux
 }
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so a connection that stalls mid-header cannot hold a
+// server goroutine and socket for ever. Tests shorten it.
+var readHeaderTimeout = 10 * time.Second
+
 // Start listens on addr (port 0 picks an ephemeral port) and serves in
 // a background goroutine until Close.
 func (d *Daemon) Start(addr string) error {
@@ -103,7 +108,7 @@ func (d *Daemon) Start(addr string) error {
 		return fmt.Errorf("dist: listen %s: %w", addr, err)
 	}
 	d.ln = ln
-	d.srv = &http.Server{Handler: d.Handler()}
+	d.srv = &http.Server{Handler: d.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	go d.srv.Serve(ln) //nolint:errcheck // ErrServerClosed after Close
 	return nil
 }

@@ -57,6 +57,11 @@ type ServerStatus struct {
 	StageProfile []prof.StageCost `json:"stage_profile,omitempty"`
 }
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so a connection that stalls mid-header cannot hold a
+// server goroutine and socket for ever. Tests shorten it.
+var readHeaderTimeout = 10 * time.Second
+
 // StartServer listens on addr (host:port; host may be empty, port may be
 // 0 for an ephemeral port) and serves o's live state in a background
 // goroutine until Close. The Observer may be shared with a running
@@ -67,7 +72,7 @@ func StartServer(addr string, o *Observer) (*Server, error) {
 		return nil, fmt.Errorf("obs: serve %s: %w", addr, err)
 	}
 	s := &Server{obs: o, ln: ln, start: time.Now()}
-	s.srv = &http.Server{Handler: s.handler()}
+	s.srv = &http.Server{Handler: s.handler(), ReadHeaderTimeout: readHeaderTimeout}
 	go s.srv.Serve(ln) //nolint:errcheck // ErrServerClosed after Close
 	return s, nil
 }

@@ -3,9 +3,11 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 )
 
 // newTestServer starts a server on an ephemeral port over a populated
@@ -185,5 +187,32 @@ func TestPromName(t *testing.T) {
 		if got := promName(in); got != want {
 			t.Fatalf("promName(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// TestServerDropsStalledHeader: a client that sends part of a request
+// header and then stalls has its connection closed once the header
+// timeout passes.
+func TestServerDropsStalledHeader(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 100 * time.Millisecond
+	s, err := StartServer("127.0.0.1:0", &Observer{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /metrics.json HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection with a stalled header not closed: %v", err)
 	}
 }
