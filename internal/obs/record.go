@@ -81,8 +81,9 @@ func CanonicalRecords(recs []RunRecord) []RunRecord {
 }
 
 // SortRecords orders records by (experiment, kind, config, workload,
-// variant, seed) — the canonical order for reports. Concurrent run plans append
-// records in completion order; sorting restores a deterministic layout.
+// variant, seed) — the canonical order for reports. Concurrent run plans
+// append records in completion order; sorting restores a deterministic
+// layout.
 func SortRecords(recs []RunRecord) {
 	sort.SliceStable(recs, func(i, j int) bool {
 		a, b := recs[i], recs[j]
